@@ -330,7 +330,7 @@ func cmdAudit(args []string) error {
 	schemaSpec := fs.String("schema", "", "schema spec")
 	sensitive := fs.String("sensitive", "", "comma-separated sensitive attributes (default: schema roles)")
 	threshold := fs.Int("threshold", 10, "coverage threshold")
-	maxNull := fs.Float64("maxnull", 0.05, "maximum tolerated null rate")
+	maxNull := fs.Float64("maxnull", core.DefaultMaxNullRate, "maximum tolerated null rate")
 	partition := fs.Int("partition", 0, "view a CSV input in N-row partitions (out-of-core path; multiple of 64)")
 	workers := fs.Int("workers", 0, "worker count for partition-parallel stages (0 = serial)")
 	noMmap := fs.Bool("no-mmap", false, "use the read-at pager instead of mmap for column files")

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"redi/internal/core"
 	"redi/internal/serve"
 )
 
@@ -21,7 +22,7 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "localhost:8080", "listen address")
 	sensitive := fs.String("sensitive", "", "comma-separated sensitive attributes (default: schema roles)")
 	threshold := fs.Int("threshold", 10, "default coverage threshold for /audit")
-	maxNull := fs.Float64("maxnull", 0.05, "default maximum tolerated null rate for /audit")
+	maxNull := fs.Float64("maxnull", core.DefaultMaxNullRate, "default maximum tolerated null rate for /audit")
 	workers := fs.Int("workers", 0, "per-request worker budget (0 = serial)")
 	concurrent := fs.Int("concurrent", 4, "max requests executing at once")
 	queue := fs.Int("queue", 64, "admission queue depth before 429")
@@ -47,7 +48,7 @@ func cmdServe(args []string) error {
 			Threshold: *threshold,
 			Workers:   *workers,
 		},
-		MaxNullRate:        *maxNull,
+		MaxNullRate:        maxNull,
 		MaxConcurrent:      *concurrent,
 		QueueDepth:         *queue,
 		TraceBuffer:        *traceBuf,

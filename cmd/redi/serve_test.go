@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"redi/internal/dataset"
 	"redi/internal/rng"
 	"redi/internal/synth"
 )
@@ -42,6 +43,26 @@ func TestCmdServeReplay(t *testing.T) {
 	}
 	if strings.Contains(a, "\n500\n") {
 		t.Fatalf("5xx in replay output:\n%s", a)
+	}
+}
+
+// TestCmdServeMaxNullZero pins that -maxnull 0 reaches the service as a
+// bound of 0 for audits that carry no maxnull parameter.
+func TestCmdServeMaxNullZero(t *testing.T) {
+	d := synth.Generate(synth.DefaultPopulation(50), rng.New(5)).Data
+	if err := d.SetValue(0, "f0", dataset.NullValue(dataset.Numeric)); err != nil {
+		t.Fatal(err)
+	}
+	csvPath := writeTempCSV(t, d)
+	logPath := filepath.Join(t.TempDir(), "replay.jsonl")
+	if err := os.WriteFile(logPath, []byte(`{"method":"GET","path":"/audit?threshold=3"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error {
+		return cmdServe([]string{"-schema", popSchema, "-maxnull", "0", "-replay", logPath, csvPath})
+	})
+	if !strings.Contains(out, `(max 0.0000)"}]}`) {
+		t.Fatalf("-maxnull 0 not applied:\n%s", out)
 	}
 }
 

@@ -80,62 +80,35 @@ func MaterializePartitioned(pd *dataset.Partitioned) *dataset.Dataset {
 	return out
 }
 
-// CheckPartitioned implements PartitionedRequirement: null rates come from
-// compiled IsNull counts over the partitions' null codes and validity
-// words, and per-group rates from the partition-parallel group index — the
-// same quantities Check computes row-at-a-time.
+// CheckPartitioned implements PartitionedRequirement: null counts come
+// from compiled IsNull counts over the partitions' null codes and validity
+// words, and per-group counts from the null rows' bitmap over the
+// partition-parallel group index — the same tallies Check produces, scored
+// by the same Score.
 func (r CompletenessRequirement) CheckPartitioned(pd *dataset.Partitioned, workers int) CheckResult {
-	res := CheckResult{Requirement: r.Name(), Satisfied: true}
-	attrs := r.Attrs
-	if len(attrs) == 0 {
-		attrs = pd.Schema().Names()
-	}
-	var groups *dataset.Groups // lazily built once, shared by all attrs
-	worst := 0.0
-	worstAt := ""
-	for _, a := range attrs {
+	attrs := r.attrs(pd.Schema())
+	t := NullTallies{Rows: pd.NumRows(), Scanned: pd.NumRows(), Attrs: attrs, Nulls: make([]int, len(attrs)), Misses: make([][]int, len(attrs))}
+	for i, a := range attrs {
 		pp, ok := pd.CompilePredicate(dataset.IsNull(a))
 		if !ok {
 			panic("core: IsNull predicate failed to compile")
 		}
-		nulls := pp.Count(workers)
-		rate := 0.0
-		if pd.NumRows() > 0 {
-			rate = float64(nulls) / float64(pd.NumRows())
+		t.Nulls[i] = pp.Count(workers)
+		if len(r.Sensitive) == 0 || t.Nulls[i] == 0 {
+			continue
 		}
-		if rate > worst {
-			worst, worstAt = rate, a
+		if t.Groups == nil { // built once, shared by all attrs
+			t.Groups = pd.GroupBy(workers, r.Sensitive...)
 		}
-		if len(r.Sensitive) > 0 && nulls > 0 {
-			if groups == nil {
-				groups = pd.GroupBy(workers, r.Sensitive...)
+		miss := make([]int, t.Groups.NumGroups())
+		pp.SelectBitmap(workers).ForEach(func(row int) {
+			if gi := t.Groups.ByRow[row]; gi >= 0 {
+				miss[gi]++
 			}
-			miss := make([]int, groups.NumGroups())
-			pp.SelectBitmap(workers).ForEach(func(row int) {
-				if gi := groups.ByRow[row]; gi >= 0 {
-					miss[gi]++
-				}
-			})
-			for gi, n := range groups.Counts {
-				if n == 0 {
-					continue
-				}
-				// Ascending-gid iteration keeps the argmax tie-break
-				// identical to the in-memory path: equal rates report the
-				// lexicographically first group.
-				if frac := float64(miss[gi]) / float64(n); frac > worst {
-					worst, worstAt = frac, fmt.Sprintf("%s within %s", a, groups.Key(gi))
-				}
-			}
-		}
+		})
+		t.Misses[i] = miss
 	}
-	res.Score = worst
-	res.Satisfied = worst <= r.MaxNullRate
-	res.Details = fmt.Sprintf("worst null rate %.4f at %s (max %.4f)", worst, worstAt, r.MaxNullRate)
-	if worstAt == "" {
-		res.Details = "no nulls"
-	}
-	return res
+	return r.Score(t, nil)
 }
 
 // Interface conformance: the four partition-aware requirements.

@@ -423,57 +423,115 @@ func (r FeatureBiasRequirement) Check(d *dataset.Dataset) CheckResult {
 // attribute's null rate must stay at or below MaxNullRate, both overall
 // and within every demographic group (so that missingness cannot hide in a
 // minority).
+//
+// Scoring is split from counting. Three producers count nulls — Check on
+// an in-memory dataset, CheckPartitioned partition-at-a-time, and the
+// serving layer's tallies advanced on ingest — and all of them hand their
+// NullTallies to the one scorer, Score, so their verdicts agree by
+// construction.
 type CompletenessRequirement struct {
 	Attrs       []string // empty means every attribute
 	Sensitive   []string
 	MaxNullRate float64
 }
 
+// DefaultMaxNullRate is the completeness bound the CLI and the serving
+// layer use when none is given.
+const DefaultMaxNullRate = 0.05
+
+// NullTallies is a completeness producer's output: null counts per audited
+// attribute and, when the requirement has sensitive attributes, per
+// (attribute, group) over a group index of the same rows.
+type NullTallies struct {
+	// Rows is the number of rows the tallies cover.
+	Rows int
+	// Scanned is the number of rows the producer read to build the tallies:
+	// Rows for a cold count, 0 for tallies maintained on ingest.
+	Scanned int
+	// Attrs are the audited attributes in scoring order.
+	Attrs []string
+	// Nulls[i] is the number of null cells of Attrs[i].
+	Nulls []int
+	// Misses[i][gid] is the number of null cells of Attrs[i] among the rows
+	// of group gid. It is read only where Nulls[i] > 0 and Groups is set.
+	Misses [][]int
+	// Groups indexes the rows by the requirement's sensitive attributes
+	// (nil: no per-group breakdown).
+	Groups *dataset.Groups
+}
+
 // Name implements Requirement.
 func (r CompletenessRequirement) Name() string { return "completeness" }
 
-// CheckTraced implements tracedRequirement: the null scans run as usual
-// and the span records how many attributes and rows they covered.
-func (r CompletenessRequirement) CheckTraced(d *dataset.Dataset, sp *trace.Span) CheckResult {
-	res := r.Check(d)
-	attrs := len(r.Attrs)
-	if attrs == 0 {
-		attrs = len(d.Schema().Names())
-	}
-	sp.SetAttr("attrs_checked", int64(attrs))
-	sp.SetAttr("rows", int64(d.NumRows()))
-	return res
+// Check implements Requirement: compiled null-mask counts per attribute,
+// then, for attributes with nulls, a per-group null tally from the column's
+// null storage against one shared group index.
+func (r CompletenessRequirement) Check(d *dataset.Dataset) CheckResult {
+	return r.Score(r.tally(d), nil)
 }
 
-// Check implements Requirement.
-func (r CompletenessRequirement) Check(d *dataset.Dataset) CheckResult {
-	res := CheckResult{Requirement: r.Name(), Satisfied: true}
-	attrs := r.Attrs
-	if len(attrs) == 0 {
-		attrs = d.Schema().Names()
+// CheckTraced implements tracedRequirement; the span's "rows" attribute is
+// every row of d, all of which the cold count scans.
+func (r CompletenessRequirement) CheckTraced(d *dataset.Dataset, sp *trace.Span) CheckResult {
+	return r.Score(r.tally(d), sp)
+}
+
+func (r CompletenessRequirement) attrs(s *dataset.Schema) []string {
+	if len(r.Attrs) == 0 {
+		return s.Names()
 	}
-	worst := 0.0
-	worstAt := ""
-	for _, a := range attrs {
+	return r.Attrs
+}
+
+func (r CompletenessRequirement) tally(d *dataset.Dataset) NullTallies {
+	attrs := r.attrs(d.Schema())
+	t := NullTallies{Rows: d.NumRows(), Scanned: d.NumRows(), Attrs: attrs, Nulls: make([]int, len(attrs)), Misses: make([][]int, len(attrs))}
+	for i, a := range attrs {
 		// Compiled null-mask count: one fused scan over the column's codes
 		// or null mask instead of a per-row Value walk.
-		nulls := d.Count(dataset.IsNull(a))
+		t.Nulls[i] = d.Count(dataset.IsNull(a))
+		if len(r.Sensitive) == 0 || t.Nulls[i] == 0 {
+			continue
+		}
+		if t.Groups == nil {
+			t.Groups = d.GroupBy(r.Sensitive...)
+		}
+		t.Misses[i] = make([]int, t.Groups.NumGroups())
+		d.NullsRange(a, 0, t.Rows, t.Groups.ByRow, t.Misses[i])
+	}
+	return t
+}
+
+// Score turns null tallies into the completeness verdict: the worst null
+// rate over every attribute overall and within every non-empty group.
+// Attributes are visited in order, each one's overall rate before its
+// groups, and groups in ascending gid (= ascending key) order; only a
+// strictly greater rate replaces the worst, so ties report the first
+// attribute and the lexicographically first group. A non-nil span gets
+// "attrs_checked" (len(t.Attrs)) and "rows" (t.Scanned) attributes.
+func (r CompletenessRequirement) Score(t NullTallies, sp *trace.Span) CheckResult {
+	sp.SetAttr("attrs_checked", int64(len(t.Attrs)))
+	sp.SetAttr("rows", int64(t.Scanned))
+	res := CheckResult{Requirement: r.Name()}
+	worst := 0.0
+	worstAt := ""
+	for i, a := range t.Attrs {
 		rate := 0.0
-		if d.NumRows() > 0 {
-			rate = float64(nulls) / float64(d.NumRows())
+		if t.Rows > 0 {
+			rate = float64(t.Nulls[i]) / float64(t.Rows)
 		}
 		if rate > worst {
 			worst, worstAt = rate, a
 		}
-		if len(r.Sensitive) > 0 && nulls > 0 {
-			// Gid order is ascending key order, so the argmax tie-break is
-			// deterministic: with equal rates the lexicographically first
-			// group is reported.
-			fracs, groups := profile.GroupMissingness(d, a, r.Sensitive)
-			for gid, frac := range fracs {
-				if frac > worst {
-					worst, worstAt = frac, fmt.Sprintf("%s within %s", a, groups.Key(gid))
-				}
+		if t.Groups == nil || t.Nulls[i] == 0 {
+			continue
+		}
+		for gid, n := range t.Groups.Counts {
+			if n == 0 {
+				continue
+			}
+			if frac := float64(t.Misses[i][gid]) / float64(n); frac > worst {
+				worst, worstAt = frac, fmt.Sprintf("%s within %s", a, t.Groups.Key(gid))
 			}
 		}
 	}

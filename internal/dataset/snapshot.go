@@ -50,3 +50,36 @@ func (d *Dataset) CodesRange(attr string, lo, hi int) (codes []int32, dict []str
 	}
 	return col.codes[lo:hi:hi], col.dict
 }
+
+// NullsRange counts the null cells of attr in rows [lo, hi), reading the
+// column's null storage directly (categorical -1 codes or the numeric null
+// mask). When byRow is non-nil it also tallies every null row r with
+// byRow[r] >= 0 into miss[byRow[r]] — per-group missingness in the same
+// pass, with byRow a Groups.ByRow over the same rows. It panics if the
+// attribute is unknown or the range is out of bounds.
+func (d *Dataset) NullsRange(attr string, lo, hi int, byRow []int32, miss []int) int {
+	nulls := 0
+	tally := func(r int) {
+		nulls++
+		if byRow != nil {
+			if g := byRow[r]; g >= 0 {
+				miss[g]++
+			}
+		}
+	}
+	switch c := d.cols[d.schema.MustIndex(attr)].(type) {
+	case *catColumn:
+		for r, code := range c.codes[lo:hi] {
+			if code < 0 {
+				tally(lo + r)
+			}
+		}
+	case *numColumn:
+		for r, null := range c.nulls[lo:hi] {
+			if null {
+				tally(lo + r)
+			}
+		}
+	}
+	return nulls
+}

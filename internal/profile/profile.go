@@ -274,11 +274,7 @@ func RankAttrBias(d *dataset.Dataset, features []string, sensitive []string, tar
 func GroupMissingness(d *dataset.Dataset, attr string, sensitive []string) ([]float64, *dataset.Groups) {
 	groups := d.GroupBy(sensitive...)
 	miss := make([]int, groups.NumGroups())
-	for r := 0; r < d.NumRows(); r++ {
-		if gi := groups.ByRow[r]; gi >= 0 && d.IsNull(r, attr) {
-			miss[gi]++
-		}
-	}
+	d.NullsRange(attr, 0, d.NumRows(), groups.ByRow, miss)
 	fracs := make([]float64, groups.NumGroups())
 	for gi, n := range groups.Counts {
 		if n > 0 {

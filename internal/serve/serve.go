@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	"redi/internal/colfile"
+	"redi/internal/core"
 	"redi/internal/dataset"
 	"redi/internal/expr"
 	"redi/internal/obs"
@@ -18,16 +20,17 @@ import (
 
 // Version identifies the serving API build in /metrics' redi_build_info
 // series; bump alongside breaking API or trace-schema changes.
-const Version = "0.10.0"
+const Version = "0.12.0"
 
 // Config configures a Service.
 type Config struct {
 	// StoreConfig parameterizes the resident store (name, sensitive attrs,
 	// coverage threshold, LSH width, per-request worker budget).
 	StoreConfig
-	// MaxNullRate is the default completeness bound for /audit (default
-	// 0.05).
-	MaxNullRate float64
+	// MaxNullRate is the completeness bound for /audit requests that carry
+	// no maxnull parameter (nil: core.DefaultMaxNullRate). Zero is a valid
+	// bound: no nulls tolerated.
+	MaxNullRate *float64
 	// MaxConcurrent is the number of requests executing at once (default 4).
 	MaxConcurrent int
 	// QueueDepth is how many requests may wait for a slot before new
@@ -48,19 +51,24 @@ type Config struct {
 // behind a FIFO admission scheduler. /metrics bypasses admission so the
 // service stays observable under overload.
 type Service struct {
-	store *Store
-	sched *scheduler
-	cfg   Config
-	reg   *obs.Registry
-	mux   *http.ServeMux
-	rec   *trace.Recorder
+	store   *Store
+	sched   *scheduler
+	cfg     Config
+	maxNull float64 // resolved default /audit completeness bound
+	reg     *obs.Registry
+	mux     *http.ServeMux
+	rec     *trace.Recorder
 }
 
 // NewService builds the store and its indexes from the seed dataset and
 // wires up the HTTP surface. The service takes ownership of d.
 func NewService(d *dataset.Dataset, cfg Config) (*Service, error) {
-	if cfg.MaxNullRate == 0 {
-		cfg.MaxNullRate = 0.05
+	maxNull := core.DefaultMaxNullRate
+	if cfg.MaxNullRate != nil {
+		maxNull = *cfg.MaxNullRate
+	}
+	if !validMaxNull(maxNull) {
+		return nil, fmt.Errorf("serve: max null rate %v is not a finite non-negative number", maxNull)
 	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 4
@@ -79,12 +87,13 @@ func NewService(d *dataset.Dataset, cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		store: store,
-		sched: newScheduler(cfg.MaxConcurrent, cfg.QueueDepth),
-		cfg:   cfg,
-		reg:   cfg.StoreConfig.Obs,
-		mux:   http.NewServeMux(),
-		rec:   trace.NewRecorder(cfg.TraceBuffer, cfg.SlowTraceThreshold),
+		store:   store,
+		sched:   newScheduler(cfg.MaxConcurrent, cfg.QueueDepth),
+		cfg:     cfg,
+		maxNull: maxNull,
+		reg:     cfg.StoreConfig.Obs,
+		mux:     http.NewServeMux(),
+		rec:     trace.NewRecorder(cfg.TraceBuffer, cfg.SlowTraceThreshold),
 	}
 	// Create the counters eagerly so /metrics exposes them at zero before
 	// the first request (the CI smoke test asserts on the 5xx series).
@@ -204,9 +213,16 @@ type auditResult struct {
 	Details     string  `json:"details"`
 }
 
+// validMaxNull reports whether f is usable as a completeness bound: NaN
+// would fail every audit and +Inf pass every one, so only finite
+// non-negative rates are accepted.
+func validMaxNull(f float64) bool {
+	return f >= 0 && !math.IsInf(f, 1)
+}
+
 // handleAudit checks coverage and completeness against the resident
-// indexes. Query params: threshold (int), maxnull (float); defaults from
-// the service config.
+// indexes. Query params: threshold (int), maxnull (finite, >= 0);
+// defaults from the service config.
 func (s *Service) handleAudit(w http.ResponseWriter, r *http.Request, sp *trace.Span) error {
 	threshold := 0
 	if v := r.URL.Query().Get("threshold"); v != "" {
@@ -216,10 +232,10 @@ func (s *Service) handleAudit(w http.ResponseWriter, r *http.Request, sp *trace.
 		}
 		threshold = n
 	}
-	maxNull := s.cfg.MaxNullRate
+	maxNull := s.maxNull
 	if v := r.URL.Query().Get("maxnull"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f < 0 {
+		if err != nil || !validMaxNull(f) {
 			return badRequest("bad maxnull %q", v)
 		}
 		maxNull = f

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -29,7 +30,10 @@ func testSchema() *dataset.Schema {
 }
 
 // makeBatch generates rows with a long-tailed race domain (so ingests keep
-// growing the dictionaries) and occasional nulls.
+// growing the dictionaries, and new group keys splice into the middle of
+// the canonical gid order) and nulls in a sensitive column (race: rows in
+// no group) and in two non-sensitive ones (age, income). The long-tail
+// groups are tiny, so their null rates hit exact ties such as 1/1 = 2/2.
 func makeBatch(seed uint64, n int) *dataset.Dataset {
 	r := rng.New(seed)
 	races := []string{"black", "white", "asian", "hispanic"}
@@ -37,16 +41,52 @@ func makeBatch(seed uint64, n int) *dataset.Dataset {
 	d := dataset.New(testSchema())
 	for i := 0; i < n; i++ {
 		race := dataset.Cat(races[r.Intn(len(races))])
-		if r.Intn(12) == 0 {
+		switch r.Intn(16) {
+		case 0:
 			race = dataset.Cat(fmt.Sprintf("race%02d", r.Intn(24)))
+		case 1:
+			race = dataset.NullValue(dataset.Categorical)
+		}
+		age := dataset.Num(float64(18 + r.Intn(60)))
+		if r.Intn(20) == 0 {
+			age = dataset.NullValue(dataset.Numeric)
 		}
 		income := dataset.Num(float64(20000 + r.Intn(80000)))
 		if r.Intn(15) == 0 {
 			income = dataset.NullValue(dataset.Numeric)
 		}
-		d.MustAppendRow(race, dataset.Cat(sexes[r.Intn(2)]), dataset.Num(float64(18+r.Intn(60))), income)
+		d.MustAppendRow(race, dataset.Cat(sexes[r.Intn(2)]), age, income)
 	}
 	return d
+}
+
+// coldTallies recounts the completeness tallies of d from scratch: a fresh
+// group index and a per-attribute null scan.
+func coldTallies(d *dataset.Dataset, sens []string) core.NullTallies {
+	t := core.NullTallies{Rows: d.NumRows(), Attrs: d.Schema().Names(), Groups: d.GroupBy(sens...)}
+	for _, a := range t.Attrs {
+		miss := make([]int, t.Groups.NumGroups())
+		t.Nulls = append(t.Nulls, d.NullsRange(a, 0, d.NumRows(), t.Groups.ByRow, miss))
+		t.Misses = append(t.Misses, miss)
+	}
+	return t
+}
+
+// worstTies counts the (attribute, group) null rates equal to the worst
+// one — more than one means the scorer's tie-break decides Details.
+func worstTies(t core.NullTallies) int {
+	worst, ties := 0.0, 0
+	for i := range t.Attrs {
+		for gid, n := range t.Groups.Counts {
+			switch frac := float64(t.Misses[i][gid]) / float64(n); {
+			case frac > worst:
+				worst, ties = frac, 1
+			case frac == worst:
+				ties++
+			}
+		}
+	}
+	return ties
 }
 
 func csvOf(t *testing.T, d *dataset.Dataset) string {
@@ -84,9 +124,12 @@ func newTestService(t *testing.T, d *dataset.Dataset, workers int) *Service {
 // TestServeEquivalence is the serving layer's incremental ≡ rebuild
 // contract end to end: after every ingest batch, the /audit, /query, and
 // /discovery responses of services running at worker budgets 1, 2, and 8
-// are byte-identical to each other and match a cold rebuild (core.Audit,
-// expr on the accumulated rows, a one-shot LSH index over the final
-// dictionaries).
+// are byte-identical to each other and match a cold rebuild (core.Audit
+// and CheckPartitioned at every budget, expr on the accumulated rows, a
+// one-shot LSH index over the final dictionaries). The store's
+// completeness tallies must equal a cold recount, and the schedule must
+// exercise what makes them hard: rows in no group, gid renumbering by new
+// keys after nulls were tallied, and tied worst null rates.
 func TestServeEquivalence(t *testing.T) {
 	seed := makeBatch(1, 200)
 	mirror := seed.Clone()
@@ -97,8 +140,10 @@ func TestServeEquivalence(t *testing.T) {
 	}
 	sens := []string{"race", "sex"}
 	queries := []string{"age between 20 and 40", "race = 'black' and income > 50000"}
+	renumbered, tied := 0, 0
 
-	for batchNo := 0; batchNo < 5; batchNo++ {
+	for batchNo := 0; batchNo < 8; batchNo++ {
+		before := mirror.GroupBy(sens...).Keys()
 		batch := makeBatch(uint64(100+batchNo), 60+13*batchNo)
 		body, err := json.Marshal(ingestRequest{CSV: csvOf(t, batch)})
 		if err != nil {
@@ -137,6 +182,33 @@ func TestServeEquivalence(t *testing.T) {
 		}
 		if want != string(coldJSON)+"\n" {
 			t.Fatalf("batch %d: served audit differs from cold rebuild:\n%s\nvs\n%s", batchNo, want, coldJSON)
+		}
+		comp := core.CompletenessRequirement{Sensitive: sens, MaxNullRate: 0.2}
+		for _, w := range budgets {
+			if got := comp.CheckPartitioned(mirror.Partitions(64), w); got != cold.Results[1] {
+				t.Fatalf("batch %d: CheckPartitioned at workers %d = %+v, cold %+v", batchNo, w, got, cold.Results[1])
+			}
+		}
+
+		// The tallies behind the served audit equal a cold recount, and
+		// the schedule reaches the cases that stress them.
+		recount := coldTallies(mirror, sens)
+		for i, svc := range svcs {
+			st := svc.Store()
+			if fmt.Sprint(st.nulls, st.miss) != fmt.Sprint(recount.Nulls, recount.Misses) {
+				t.Fatalf("batch %d workers %d: tallies %v %v, cold recount %v %v",
+					batchNo, budgets[i], st.nulls, st.miss, recount.Nulls, recount.Misses)
+			}
+		}
+		after := recount.Groups.Keys()
+		for gid, k := range before {
+			if after[gid] != k {
+				renumbered++
+				break
+			}
+		}
+		if worstTies(recount) > 1 {
+			tied++
 		}
 
 		// Query: count and select match compiled predicates on the mirror.
@@ -199,6 +271,79 @@ func TestServeEquivalence(t *testing.T) {
 			if dresp.Matches[i].Ref != m.Ref.String() || dresp.Matches[i].Score != m.Score {
 				t.Fatalf("batch %d: discovery match %d differs: %+v vs %+v", batchNo, i, dresp.Matches[i], m)
 			}
+		}
+	}
+	if renumbered == 0 || tied == 0 {
+		t.Fatalf("schedule too tame: %d batches renumbered gids, %d had tied worst rates", renumbered, tied)
+	}
+	raceNulls := mirror.NullsRange("race", 0, mirror.NumRows(), nil, nil)
+	ageNulls := mirror.NullsRange("age", 0, mirror.NumRows(), nil, nil)
+	if raceNulls == 0 || ageNulls == 0 {
+		t.Fatalf("schedule has %d race nulls and %d age nulls, want both > 0", raceNulls, ageNulls)
+	}
+}
+
+// TestServeBadParams pins the handlers' 400 paths: malformed or
+// out-of-range parameters are rejected before any work, including float
+// spellings strconv accepts but no null-rate bound can be (NaN, ±Inf).
+func TestServeBadParams(t *testing.T) {
+	svc := newTestService(t, makeBatch(4, 100), 1)
+	for _, path := range []string{
+		"/audit?threshold=0",
+		"/audit?threshold=-3",
+		"/audit?threshold=x",
+		"/audit?maxnull=-0.1",
+		"/audit?maxnull=abc",
+		"/audit?maxnull=NaN",
+		"/audit?maxnull=nan",
+		"/audit?maxnull=Inf",
+		"/audit?maxnull=%2BInf",
+		"/audit?maxnull=-Inf",
+		"/query",
+		"/query?e=age+%3E+1&mode=wat",
+	} {
+		if code, resp := doReq(t, svc, "GET", path, ""); code != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400: %s", path, code, resp)
+		}
+	}
+	if code, resp := doReq(t, svc, "POST", "/discovery", `{"values":["black"],"threshold":1.5}`); code != http.StatusBadRequest {
+		t.Errorf("discovery threshold 1.5: status %d, want 400: %s", code, resp)
+	}
+}
+
+// TestServeMaxNullDefault pins the service-level completeness bound: unset
+// means core.DefaultMaxNullRate, zero is a real bound (no nulls
+// tolerated), and invalid bounds fail at construction.
+func TestServeMaxNullDefault(t *testing.T) {
+	audit := func(cfg Config) core.CheckResult {
+		t.Helper()
+		cfg.StoreConfig = StoreConfig{Threshold: 3}
+		svc, err := NewService(makeBatch(6, 120), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		code, body := doReq(t, svc, "GET", "/audit", "")
+		if code != http.StatusOK {
+			t.Fatalf("audit status %d: %s", code, body)
+		}
+		var resp auditResponse
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatal(err)
+		}
+		r := resp.Results[1]
+		return core.CheckResult{Requirement: r.Requirement, Satisfied: r.Satisfied, Score: r.Score, Details: r.Details}
+	}
+	zero := 0.0
+	if got := audit(Config{MaxNullRate: &zero}); got.Satisfied || !strings.HasSuffix(got.Details, "(max 0.0000)") {
+		t.Fatalf("MaxNullRate 0 audited as %+v, want an unsatisfied bound of 0", got)
+	}
+	if got := audit(Config{}); !strings.HasSuffix(got.Details, fmt.Sprintf("(max %.4f)", core.DefaultMaxNullRate)) {
+		t.Fatalf("unset MaxNullRate audited as %+v, want the default bound", got)
+	}
+	for _, bad := range []float64{-0.5, math.NaN(), math.Inf(1)} {
+		if _, err := NewService(makeBatch(6, 10), Config{MaxNullRate: &bad}); err == nil {
+			t.Fatalf("MaxNullRate %v accepted", bad)
 		}
 	}
 }

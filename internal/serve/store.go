@@ -5,19 +5,22 @@
 //
 // The consistency model has two tiers:
 //
-//   - Snapshot readers (/query, /tailor, completeness checks) work on a
+//   - Snapshot readers (/query, /tailor's row materialization) work on a
 //     copy-on-write dataset snapshot captured at the last ingest. They grab
 //     the snapshot pointer under a read lock and then run lock-free — the
 //     snapshot is immutable — so they never block ingest and never see torn
 //     rows.
-//   - Index readers (/audit coverage walks, /discovery probes, tailoring's
-//     group index) read the resident mutable indexes and therefore hold the
-//     read lock for the duration; ingest (the sole writer) waits for them.
+//   - Index readers (/audit coverage walks and completeness tallies,
+//     /discovery probes, tailoring's group index) read the resident mutable
+//     indexes and therefore hold the read lock for the duration; ingest (the
+//     sole writer) waits for them.
 //
 // Every index is maintained incrementally on append under the write lock —
-// dataset.Groups.Append, coverage.Space.AppendRows, and
-// discovery.IncrementalLSH.Upsert — each of which is contractually
-// bit-identical to a from-scratch rebuild over the same rows.
+// dataset.Groups.Append, coverage.Space.AppendRows,
+// discovery.IncrementalLSH.Upsert, and the completeness null tallies — each
+// of which is contractually bit-identical to a from-scratch rebuild over the
+// same rows. An audit therefore costs O(attrs × groups) plus the MUP walk,
+// never a scan of the resident rows.
 package serve
 
 import (
@@ -68,6 +71,12 @@ type Store struct {
 	// the LSH index; ingest upserts only the suffix beyond it.
 	catAttrs []string
 	dictLens []int
+	// Completeness tallies over every schema attribute (attrs): nulls[i]
+	// counts attrs[i]'s null cells and miss[i][gid] those among group gid's
+	// rows, in the group index's current gid numbering.
+	attrs []string
+	nulls []int
+	miss  [][]int
 
 	// walkMu serializes pattern-space walks: concurrent audits would race
 	// on the space's shared bitmap pool.
@@ -118,9 +127,45 @@ func NewStore(d *dataset.Dataset, cfg StoreConfig) (*Store, error) {
 		s.catAttrs = append(s.catAttrs, a.Name)
 		s.dictLens = append(s.dictLens, len(dict))
 	}
+	s.attrs = schema.Names()
+	s.nulls = make([]int, len(s.attrs))
+	s.miss = make([][]int, len(s.attrs))
+	for i, a := range s.attrs {
+		s.miss[i] = make([]int, s.groups.NumGroups())
+		s.nulls[i] = d.NullsRange(a, 0, d.NumRows(), s.groups.ByRow, s.miss[i])
+	}
 	s.warmGroups()
 	s.snap = d.Snapshot()
 	return s, nil
+}
+
+// advanceTallies brings the completeness tallies up to date after rows
+// [from, NumRows) were appended and the group index advanced over them.
+// prev is the index's canonical key list before the append: when new
+// group keys arrived, gids were renumbered, and the per-gid counts follow.
+func (s *Store) advanceTallies(prev []dataset.GroupKey, from int) {
+	if G := s.groups.NumGroups(); G != len(prev) {
+		// New keys splice into canonical order, so surviving keys keep their
+		// relative order and one merge walk maps every old gid to its new one.
+		remap := make([]int, len(prev))
+		old := 0
+		for gid, k := range s.groups.Keys() {
+			if old < len(prev) && prev[old] == k {
+				remap[old] = gid
+				old++
+			}
+		}
+		for i, m := range s.miss {
+			grown := make([]int, G)
+			for o, gid := range remap {
+				grown[gid] = m[o]
+			}
+			s.miss[i] = grown
+		}
+	}
+	for i, a := range s.attrs {
+		s.nulls[i] += s.live.NullsRange(a, from, s.live.NumRows(), s.groups.ByRow, s.miss[i])
+	}
 }
 
 // warmGroups pre-builds the group index's lazy key caches so concurrent
@@ -135,8 +180,8 @@ func (s *Store) warmGroups() {
 // Ingest appends a batch, advances every index incrementally, and refreshes
 // the snapshot. It returns the number of rows appended and the new total.
 // Each index-advance phase lands in its own child span under sp (nil =
-// untraced): append, groups_advance, space_advance, lsh_upsert,
-// snapshot_refresh.
+// untraced): append, groups_advance (which also advances the completeness
+// tallies), space_advance, lsh_upsert, snapshot_refresh.
 func (s *Store) Ingest(batch *dataset.Dataset, sp *trace.Span) (ingested, total int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,7 +194,9 @@ func (s *Store) Ingest(batch *dataset.Dataset, sp *trace.Span) (ingested, total 
 	ap.SetAttr("rows", int64(batch.NumRows()))
 	ap.End()
 	gp := sp.Child("ingest.groups_advance")
+	prev := s.groups.Keys()
 	s.groups.Append(s.live, from)
+	s.advanceTallies(prev, from)
 	gp.SetAttr("gids", int64(s.groups.NumGroups()))
 	gp.End()
 	cp := sp.Child("ingest.space_advance")
@@ -186,21 +233,18 @@ func (s *Store) View() *dataset.Dataset {
 }
 
 // Audit checks coverage (on the resident incremental pattern space) and
-// completeness (on the current snapshot) at the given threshold and null
-// rate. threshold <= 0 and maxNull < 0 fall back to the store defaults.
-// Under a non-nil span it records snapshot.acquire, audit.coverage
-// (with the MUP walk's tallies nested), and audit.completeness phases.
+// completeness (from the resident null tallies) at the given threshold and
+// null-rate bound (used as given); threshold <= 0 falls back to the store
+// default. Neither half scans the resident rows. Under a non-nil span it
+// records snapshot.acquire (the read lock), audit.coverage (with the MUP
+// walk's tallies nested), and audit.completeness (rows=0: nothing scanned).
 func (s *Store) Audit(threshold int, maxNull float64, workers int, sp *trace.Span) *core.AuditReport {
 	if threshold <= 0 {
 		threshold = s.cfg.Threshold
 	}
-	if maxNull < 0 {
-		maxNull = 0.05
-	}
 	acq := sp.Child("snapshot.acquire")
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := s.snap
 	acq.End()
 	cov := core.CoverageRequirement{Attrs: s.cfg.Sensitive, Threshold: threshold}
 	comp := core.CompletenessRequirement{Sensitive: s.cfg.Sensitive, MaxNullRate: maxNull}
@@ -211,12 +255,9 @@ func (s *Store) Audit(threshold int, maxNull float64, workers int, sp *trace.Spa
 	cs.SetAttr("satisfied", boolAttr(covRes.Satisfied))
 	cs.End()
 	cc := sp.Child("audit.completeness")
-	var compRes core.CheckResult
-	if cc != nil {
-		compRes = comp.CheckTraced(snap, cc)
-	} else {
-		compRes = comp.Check(snap)
-	}
+	compRes := comp.Score(core.NullTallies{
+		Rows: s.live.NumRows(), Attrs: s.attrs, Nulls: s.nulls, Misses: s.miss, Groups: s.groups,
+	}, cc)
 	cc.SetAttr("satisfied", boolAttr(compRes.Satisfied))
 	cc.End()
 	return &core.AuditReport{Results: []core.CheckResult{covRes, compRes}}

@@ -134,6 +134,11 @@ func TestDebugRequestEndpoints(t *testing.T) {
 	if code, _ := doReq(t, svc, "GET", "/audit?threshold=4&maxnull=0.3", ""); code != http.StatusOK {
 		t.Fatal("audit failed")
 	}
+	// Completeness is scored from the ingest-maintained tallies: the span
+	// covers every attribute and reports no rows scanned.
+	if det := svc.Recorder().Traces()[0].Root().DetString(); !strings.Contains(det, "\n  audit.completeness attrs_checked=4 rows=0 satisfied=") {
+		t.Fatalf("served audit scanned rows for completeness:\n%s", det)
+	}
 	if code, _ := doReq(t, svc, "GET", "/stats", ""); code != http.StatusOK {
 		t.Fatal("stats failed")
 	}
